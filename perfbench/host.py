@@ -20,13 +20,10 @@ import sys
 
 import numpy as np
 
-# numpy wheels bundle scipy-openblas with these symbol names (64-bit
-# integer interface); other builds may expose the plain OpenBLAS names.
-_GETTERS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_config64_"),
-    ("openblas_get_num_threads64_", "openblas_get_config64_"),
-    ("openblas_get_num_threads", "openblas_get_config"),
-)
+# numpy wheels bundle scipy-openblas, whose getters carry these names
+# (64-bit integer interface); without them the library reads as None
+_THREADS_FN = "scipy_openblas_get_num_threads64_"
+_CONFIG_FN = "scipy_openblas_get_config64_"
 
 
 def _blas_libraries() -> list[str]:
@@ -42,24 +39,23 @@ def blas_info() -> dict:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for threads_name, config_name in _GETTERS:
-            threads_fn = getattr(lib, threads_name, None)
-            if threads_fn is None:
-                continue
-            threads_fn.argtypes = []
-            threads_fn.restype = ctypes.c_int
-            config = None
-            config_fn = getattr(lib, config_name, None)
-            if config_fn is not None:
-                config_fn.argtypes = []
-                config_fn.restype = ctypes.c_char_p
-                raw = config_fn()
-                config = raw.decode(errors="replace") if raw else None
-            return {
-                "library": os.path.basename(path),
-                "config": config,
-                "threads": int(threads_fn()),
-            }
+        threads_fn = getattr(lib, _THREADS_FN, None)
+        if threads_fn is None:
+            continue
+        threads_fn.argtypes = []
+        threads_fn.restype = ctypes.c_int
+        config = None
+        config_fn = getattr(lib, _CONFIG_FN, None)
+        if config_fn is not None:
+            config_fn.argtypes = []
+            config_fn.restype = ctypes.c_char_p
+            raw = config_fn()
+            config = raw.decode(errors="replace") if raw else None
+        return {
+            "library": os.path.basename(path),
+            "config": config,
+            "threads": int(threads_fn()),
+        }
     return {"library": None, "config": None, "threads": None}
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end CANDLE benchmark: one workload per invocation.
 
-    python3 perfbench/run.py --workload nt3_spmd2 --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20
+    python3 perfbench/run.py --workload nt3_spmd2 --seed 1 --seconds 45 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 45
 
 Run from the root of a source checkout. ``--trace 0`` times untraced
 rounds and reports the end-to-end metrics; ``--trace 1`` alternates
@@ -60,17 +60,24 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
     # checked and counted in attempted/failed, but left out of the medians
     plain, traced, problems = [], [], []
     try:
-        runner.setup(trace)
+        runner.setup(trace, timed=False)
+        # a timed set-up before every untimed round spreads the set-ups
+        # over the run, so host speed, which drifts over tens of seconds,
+        # weighs on setup_s as on the round metrics
         t0 = time.perf_counter()
         while len(plain) < 2 or time.perf_counter() - t0 < seconds:
             for ledger in (None, Ledger()) if trace else (None,):
                 gc.collect()
                 time.sleep(SETTLE_S)
+                if ledger is None:
+                    runner.setup(trace)
                 (plain if ledger is None else traced).append(runner.round(ledger))
             if len(plain) == 1:
-                # later rounds reuse heap the allocator kept from earlier
-                # ones; one round's peak is what a single pipeline run needs
+                # resident memory grows over later rounds (a known fault,
+                # see the README); the first round's peak is the steady figure
                 first_round_rss = workloads.peak_rss_mb()
+        while len(runner.setup_s) < workloads.SETUPS:
+            runner.setup(trace)
         problems += runner.check_inputs()
         problems += runner.check_gradients()
     finally:

@@ -112,8 +112,8 @@ def test_eval_metrics_and_floor():
     assert checks.eval_metrics(reported, dict(reported)) == []
     assert checks.eval_metrics(reported, {"loss": 0.25 * (1 + 1e-6), "accuracy": 0.95})
     assert checks.eval_metrics({"loss": 0.25}, reported)
-    assert checks.accuracy_floor(0.95, 0.9) == []
-    assert checks.accuracy_floor(0.85, 0.9)
+    assert checks.accuracy_floor(checks.ACCURACY_FLOOR) == []
+    assert checks.accuracy_floor(checks.ACCURACY_FLOOR - 0.05)
 
 
 def test_rank_metrics_catch_a_mismatch():
